@@ -18,7 +18,10 @@
 // over a tenant/device partition, stepped concurrently between
 // deterministic barrier rounds that gossip solved schedule-cache
 // entries (one solver run per mix region-wide, via per-mix solve
-// ownership) and load summaries for cross-shard tenant handoff, beating
+// ownership) and load summaries for cross-shard tenant handoff, while
+// one platform-scoped characterization memo (serve.CharMemo), built per
+// run and handed to every shard's fleets and caches, profiles each
+// network and mix once region-wide instead of once per device, beating
 // one global controller on wall-clock req/sec at better SLO attainment
 // on the region-scale demo while keeping merged summaries
 // byte-identical; internal/obs

@@ -96,10 +96,12 @@ type Config struct {
 	// solved locally; see serve.CacheConfig.SolveOwner. Applied to every
 	// platform cache. Nil solves everything locally.
 	CacheSolveOwner func(mixKey string) bool
-	// CacheChars shares one characterization memo across cooperating
-	// fleets' platform caches (see serve.CacheConfig.Chars): the sharded
-	// plane characterizes each distinct mix once region-wide. Nil
-	// characterizes per cache.
+	// CacheChars is the characterization memo every device's cache reads
+	// through (see serve.CacheConfig.Chars), shared or private caches
+	// alike: each distinct mix and network is characterized once per
+	// memo. The sharded plane hands all its shards' fleets one memo, so
+	// characterization happens once region-wide. Nil makes New build one
+	// for this fleet, which then exports its prepare count.
 	CacheChars *serve.CharMemo
 	// AdaptiveMaxWait passes the slack-scaled starvation bound to every
 	// device; see serve.Config.AdaptiveMaxWait.
@@ -134,6 +136,7 @@ type Fleet struct {
 	draining    []bool                  // no new placements; finishing in-flight work
 	removed     []bool                  // retired: no placements, no steps
 	perPlatform map[string]int          // per-platform naming counter
+	ownsChars   bool                    // New built cfg.CacheChars: export its count
 
 	// Placement-decision audit state (only populated when Audit or Tracer
 	// is set): the mix-aware placer's predicted fit per request ID, and a
@@ -152,11 +155,16 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Placement == nil {
 		cfg.Placement = RoundRobin()
 	}
+	owns := cfg.CacheChars == nil
+	if owns {
+		cfg.CacheChars = serve.NewCharMemo()
+	}
 	f := &Fleet{
 		cfg:         cfg,
 		placer:      cfg.Placement,
 		caches:      map[string]*serve.Cache{},
 		perPlatform: map[string]int{},
+		ownsChars:   owns,
 	}
 	for _, spec := range cfg.Devices {
 		count := spec.Count
@@ -235,6 +243,7 @@ func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 		MaxGroups:       f.cfg.MaxGroups,
 		Portfolio:       f.cfg.Portfolio,
 		SharedCache:     shared,
+		Chars:           f.cfg.CacheChars,
 		AdaptiveMaxWait: f.cfg.AdaptiveMaxWait,
 		Tracer:          f.cfg.Tracer,
 		SketchMetrics:   f.cfg.SketchMetrics,
@@ -498,13 +507,24 @@ func (f *Fleet) auditPlacements() {
 	}
 }
 
+// MemoPrepareCallsMetric is the registry key a characterization memo's
+// owner (a fleet that built its own, or a sharded plane) exports the
+// memo's core.Prepare count under — in the "serve.<name>." namespace a
+// standalone runtime exports its private memo's count in.
+const MemoPrepareCallsMetric = "serve.memo.prepare_calls"
+
 // FillMetrics snapshots every device's counters plus the fleet's
-// placement and cache state into the registry. No-op on nil.
+// placement and cache state, and — when the fleet built its own
+// characterization memo — the memo's prepare count, into the registry.
+// No-op on nil.
 func (f *Fleet) FillMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	reg.Set("fleet.devices", float64(len(f.devices)))
+	if f.ownsChars {
+		reg.Set(MemoPrepareCallsMetric, float64(f.cfg.CacheChars.PrepareCalls()))
+	}
 	for i, d := range f.devices {
 		// Each device fills its own cache's gauges too; a shared cache's
 		// are Set-idempotent, so the platform group converges on one value.

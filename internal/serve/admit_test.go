@@ -17,8 +17,8 @@ func newAdmitRuntime(t *testing.T, cfg Config) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.standalone["VGG19"] = 10
-	r.standalone["ResNet152"] = 20
+	r.cache.profiles["VGG19"] = netProfile{standaloneMs: 10}
+	r.cache.profiles["ResNet152"] = netProfile{standaloneMs: 20}
 	return r
 }
 

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"haxconn/internal/baselines"
 	"haxconn/internal/contention"
 	"haxconn/internal/core"
 	"haxconn/internal/obs"
@@ -60,11 +59,12 @@ type CacheConfig struct {
 	// deferred entry in place (GossipSeed). Nil means the cache owns every
 	// mix.
 	SolveOwner func(mixKey string) bool
-	// Chars, when set, shares characterization tables across caches of the
-	// identical configuration (same platform, objective, group cap): the
-	// sharded plane gives all K shards one memo, so each distinct mix is
-	// characterized once region-wide instead of once per shard. Nil
-	// characterizes locally.
+	// Chars is the characterization memo the cache reads through, for
+	// both its mix tables and the per-network estimator profiles
+	// (StandaloneMs, DemandGBps). The owner of a device group — a fleet,
+	// or a sharded plane for all its shards — hands every cache one memo,
+	// so each distinct mix and network is characterized once per group.
+	// Nil gives the cache a private memo.
 	Chars *CharMemo
 }
 
@@ -103,6 +103,7 @@ type Cache struct {
 	entries  map[string]*Entry
 	probes   map[string]*Entry
 	probeErr map[string]error
+	profiles map[string]netProfile // unlocked front of cfg.Chars' network profiles
 	tracer   *obs.Tracer
 	name     string
 	// model is the fitted analytic contention model (core.Model's default
@@ -282,11 +283,15 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("serve: cache needs a platform")
 	}
+	if cfg.Chars == nil {
+		cfg.Chars = NewCharMemo()
+	}
 	return &Cache{
 		cfg:      cfg,
 		entries:  map[string]*Entry{},
 		probes:   map[string]*Entry{},
 		probeErr: map[string]error{},
+		profiles: map[string]netProfile{},
 		wanted:   map[string][]string{},
 	}, nil
 }
@@ -646,20 +651,7 @@ func (c *Cache) request(canon []string) core.Request {
 // effectiveness counters — Lookup, SeedFromSchedule and Import each finish
 // it their own way.
 func (c *Cache) build(key string, canon []string, nowMs float64) (*Entry, error) {
-	var (
-		prob  *schedule.Problem
-		pr    *schedule.Profile
-		naive *schedule.Schedule
-		err   error
-	)
-	if c.cfg.Chars != nil {
-		prob, pr, naive, err = c.cfg.Chars.characterize(c, key, canon)
-	} else {
-		prob, pr, err = core.Prepare(c.request(canon))
-		if err == nil {
-			naive = baselines.GPUOnly(pr)
-		}
-	}
+	prob, pr, naive, err := c.cfg.Chars.characterize(c, key, canon)
 	if err != nil {
 		return nil, err
 	}

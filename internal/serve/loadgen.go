@@ -7,6 +7,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -31,39 +32,27 @@ type TenantSpec struct {
 	SLOMs float64
 }
 
+// MaxTraceRequests caps the expected request count of one Generate call
+// (the sum over tenants of rate x duration, or duration / period).
+// Generate materializes the whole trace, so a spec like a 1e308 req/s
+// rate must fail fast instead of growing until the process is killed.
+const MaxTraceRequests = 10_000_000
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // Generate builds a trace covering [0, durationMs) from the tenant specs.
 // Arrivals are deterministic in (specs, durationMs, seed): each tenant
 // draws from its own seeded stream, so adding a tenant does not perturb
-// the others' arrivals.
+// the others' arrivals. Every numeric field must be finite, the set one of
+// RateRPS/PeriodMs positive, and the expected request count at most
+// MaxTraceRequests.
 func Generate(specs []TenantSpec, durationMs float64, seed int64) (Trace, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("serve: no tenant specs")
+	if err := validateSpecs(specs, durationMs); err != nil {
+		return nil, err
 	}
-	if durationMs <= 0 {
-		return nil, fmt.Errorf("serve: non-positive duration %g", durationMs)
-	}
-	names := map[string]bool{}
 	var tr Trace
-	for i, sp := range specs {
-		if sp.Name == "" {
-			return nil, fmt.Errorf("serve: tenant %d has no name", i)
-		}
-		if sp.Name == totalName {
-			return nil, fmt.Errorf("serve: tenant name %q is reserved for the aggregate row", totalName)
-		}
-		if names[sp.Name] {
-			return nil, fmt.Errorf("serve: duplicate tenant %q", sp.Name)
-		}
-		names[sp.Name] = true
-		if _, err := nn.ByName(sp.Network); err != nil {
-			return nil, fmt.Errorf("serve: tenant %q: %w", sp.Name, err)
-		}
-		if (sp.RateRPS > 0) == (sp.PeriodMs > 0) {
-			return nil, fmt.Errorf("serve: tenant %q must set exactly one of RateRPS and PeriodMs", sp.Name)
-		}
-		if sp.PhaseMs < 0 || sp.SLOMs < 0 {
-			return nil, fmt.Errorf("serve: tenant %q has negative phase or SLO", sp.Name)
-		}
+	for _, sp := range specs {
 		// Per-tenant sub-stream keyed by tenant name, so reordering or
 		// inserting tenants never perturbs another tenant's arrivals.
 		h := fnv.New64a()
@@ -95,4 +84,53 @@ func Generate(specs []TenantSpec, durationMs float64, seed int64) (Trace, error)
 		return nil, fmt.Errorf("serve: specs produced no arrivals in %g ms", durationMs)
 	}
 	return tr, nil
+}
+
+// validateSpecs checks every spec before Generate draws a single arrival,
+// so a spec set over the request cap is rejected without materializing
+// any of it.
+func validateSpecs(specs []TenantSpec, durationMs float64) error {
+	if len(specs) == 0 {
+		return fmt.Errorf("serve: no tenant specs")
+	}
+	if !(durationMs > 0) || !finite(durationMs) {
+		return fmt.Errorf("serve: duration %g is not positive and finite", durationMs)
+	}
+	names := map[string]bool{}
+	expected := 0.0
+	for i, sp := range specs {
+		if sp.Name == "" {
+			return fmt.Errorf("serve: tenant %d has no name", i)
+		}
+		if sp.Name == totalName {
+			return fmt.Errorf("serve: tenant name %q is reserved for the aggregate row", totalName)
+		}
+		if names[sp.Name] {
+			return fmt.Errorf("serve: duplicate tenant %q", sp.Name)
+		}
+		names[sp.Name] = true
+		if _, err := nn.ByName(sp.Network); err != nil {
+			return fmt.Errorf("serve: tenant %q: %w", sp.Name, err)
+		}
+		if !finite(sp.RateRPS) || !finite(sp.PeriodMs) || sp.RateRPS < 0 || sp.PeriodMs < 0 {
+			return fmt.Errorf("serve: tenant %q has a non-finite or negative rate or period", sp.Name)
+		}
+		if (sp.RateRPS > 0) == (sp.PeriodMs > 0) {
+			return fmt.Errorf("serve: tenant %q must set exactly one of RateRPS and PeriodMs", sp.Name)
+		}
+		if !finite(sp.PhaseMs) || !finite(sp.SLOMs) || sp.PhaseMs < 0 || sp.SLOMs < 0 {
+			return fmt.Errorf("serve: tenant %q has a non-finite or negative phase or SLO", sp.Name)
+		}
+		if span := durationMs - sp.PhaseMs; span > 0 {
+			if sp.RateRPS > 0 {
+				expected += sp.RateRPS * span / 1000
+			} else {
+				expected += span / sp.PeriodMs
+			}
+		}
+		if expected > MaxTraceRequests {
+			return fmt.Errorf("serve: specs expect more than %d requests in %g ms (tenant %q)", MaxTraceRequests, durationMs, sp.Name)
+		}
+	}
+	return nil
 }

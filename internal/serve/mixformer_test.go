@@ -387,14 +387,16 @@ func TestContentionAwareMaxWait(t *testing.T) {
 // TestPrepareFailureNegativeCache is the hot-path regression test for the
 // estimator memoization: a network whose core.Prepare fails must be
 // negative-cached — re-probing it through DemandGBps, StandaloneMs or
-// PendingDemandSpread must never repeat the failing characterization.
-// Before the fix, every call re-prepared and the dispatch loop paid the
-// failure once per round.
+// PendingDemandSpread must never repeat the failing characterization,
+// neither on the runtime that saw it fail nor on another runtime reading
+// the same memo. The count is the memo's own: every core.Prepare runs
+// inside it.
 func TestPrepareFailureNegativeCache(t *testing.T) {
 	rt, err := New(Config{Platform: soc.Orin(), Policy: NaiveGPUOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
+	memo := rt.Cache().cfg.Chars
 	if _, err := rt.DemandGBps("NoSuchNet"); err == nil {
 		t.Fatal("unknown network characterized without error")
 	}
@@ -404,20 +406,35 @@ func TestPrepareFailureNegativeCache(t *testing.T) {
 	if _, err := rt.StandaloneMs("NoSuchNet"); err == nil {
 		t.Fatal("StandaloneMs ignored the memoized failure")
 	}
-	if got := rt.PrepareCalls(); got != 1 {
+	rt.pending = []Request{{Network: "NoSuchNet"}, {Network: "NoSuchNet"}}
+	rt.PendingDemandSpread()
+	rt.pending = nil
+	if got := memo.PrepareCalls(); got != 1 {
 		t.Errorf("failing network prepared %d times, want 1 (negative cache)", got)
 	}
-	// The success path shares one characterization across both estimators.
+	// A second runtime on the same memo inherits the failure.
+	other, err := New(Config{Platform: soc.Orin(), Policy: NaiveGPUOnly, Chars: memo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.StandaloneMs("NoSuchNet"); err == nil {
+		t.Fatal("memo-sharing runtime lost the memoized failure")
+	}
+	if got := memo.PrepareCalls(); got != 1 {
+		t.Errorf("failing network prepared %d times across two runtimes, want 1", got)
+	}
+	// The success path shares one characterization across both estimators
+	// and both runtimes.
 	if _, err := rt.DemandGBps("SqueezeNet"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.StandaloneMs("SqueezeNet"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.DemandGBps("SqueezeNet"); err != nil {
+	if _, err := other.DemandGBps("SqueezeNet"); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.PrepareCalls(); got != 2 {
+	if got := memo.PrepareCalls(); got != 2 {
 		t.Errorf("%d prepares after one failing and one good network, want 2", got)
 	}
 }

@@ -135,8 +135,8 @@ func TestCharMemoSharing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(memo.m) != 1 {
-		t.Fatalf("memo holds %d characterizations, want 1", len(memo.m))
+	if len(memo.mixes) != 1 || memo.PrepareCalls() != 1 {
+		t.Fatalf("memo holds %d characterizations after %d prepares, want 1", len(memo.mixes), memo.PrepareCalls())
 	}
 	// The second sharer adopted the first's tables.
 	ka, _ := a.mixKey(mix)

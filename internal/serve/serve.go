@@ -44,7 +44,6 @@ import (
 	"strings"
 	"sync"
 
-	"haxconn/internal/core"
 	"haxconn/internal/nn"
 	"haxconn/internal/obs"
 	"haxconn/internal/schedule"
@@ -155,6 +154,12 @@ type Config struct {
 	// a mix solved on one Orin warms every Orin. Its platform, objective
 	// and solve mode must match this runtime's configuration.
 	SharedCache *Cache
+	// Chars is the characterization memo the runtime's private cache reads
+	// through (see CacheConfig.Chars): a fleet of private-cache devices
+	// shares its memo this way. Nil gives the cache a private memo, whose
+	// prepare count the runtime then exports as its own. Ignored with a
+	// SharedCache, which brings its own memo.
+	Chars *CharMemo
 	// AdaptiveMaxWait scales the starvation bound by the oldest eligible
 	// request's SLO slack: a request close to its deadline is forced into
 	// a batch after fewer passed-over rounds (down to one), while a
@@ -195,13 +200,9 @@ type Config struct {
 // start of a fresh virtual timeline; Offer/Step advance it one event at a
 // time, and Serve drives a whole trace.
 type Runtime struct {
-	cfg        Config
-	cache      *Cache
-	former     MixFormer
-	standalone map[string]float64 // per-network standalone service estimate
-	demand     map[string]float64 // per-network standalone memory-demand estimate
-	prepErr    map[string]error   // per-network characterization failure (negative cache)
-	prepares   int                // core.Prepare calls issued by the estimators
+	cfg    Config
+	cache  *Cache
+	former MixFormer
 
 	// Virtual-timeline state, advanced by Offer and Step.
 	clockMs     float64 // end of the last dispatched round
@@ -297,6 +298,7 @@ func New(cfg Config) (*Runtime, error) {
 			SolverTimeScale: cfg.SolverTimeScale,
 			MaxGroups:       cfg.MaxGroups,
 			Portfolio:       cfg.Portfolio,
+			Chars:           cfg.Chars,
 		})
 		if err != nil {
 			return nil, err
@@ -312,14 +314,11 @@ func New(cfg Config) (*Runtime, error) {
 		cache.name = cfg.Name
 	}
 	rt := &Runtime{
-		cfg:        cfg,
-		cache:      cache,
-		former:     former,
-		standalone: map[string]float64{},
-		demand:     map[string]float64{},
-		prepErr:    map[string]error{},
-		queued:     map[string]int{},
-		lastSched:  map[string]*schedule.Schedule{},
+		cfg:       cfg,
+		cache:     cache,
+		former:    former,
+		queued:    map[string]int{},
+		lastSched: map[string]*schedule.Schedule{},
 	}
 	if cfg.SketchMetrics {
 		rt.acc = newStreamStats()
@@ -451,83 +450,29 @@ func (r *Runtime) record(c Completion) {
 	}
 }
 
-// characterize fills the per-network estimate memos (standalone service
-// time and memory demand) with one core.Prepare, negative-caching the
-// failure: a network whose characterization fails once is never
-// re-prepared — the hot dispatch path (demand ranking, spread probes,
-// admission and backlog estimates) must not repeat a failing prepare
-// every round.
-func (r *Runtime) characterize(network string) error {
-	if _, ok := r.standalone[network]; ok {
-		return nil
-	}
-	if err, ok := r.prepErr[network]; ok {
-		return err
-	}
-	r.prepares++
-	_, pr, err := core.Prepare(core.Request{
-		Platform:  r.cfg.Platform,
-		Networks:  []string{network},
-		MaxGroups: r.cfg.MaxGroups,
-	})
-	if err != nil {
-		r.prepErr[network] = err
-		return err
-	}
-	r.standalone[network] = schedule.MinBaseLatencyMs(pr, 0, 1)
-	var weighted, total float64
-	for g := range pr.Groups[0] {
-		best := pr.Allowed[0]
-		for _, a := range pr.Allowed {
-			if pr.Exec[0][g][a].LatencyMs < pr.Exec[0][g][best].LatencyMs {
-				best = a
-			}
-		}
-		e := pr.Exec[0][g][best]
-		weighted += e.LatencyMs * e.DemandGBps
-		total += e.LatencyMs
-	}
-	d := 0.0
-	if total > 0 {
-		d = weighted / total
-	}
-	r.demand[network] = d
-	return nil
-}
-
-// PrepareCalls reports how many core.Prepare characterizations the
-// runtime's estimators have issued — the regression signal that the
-// memoization (positive and negative) actually short-circuits the hot
-// path.
-func (r *Runtime) PrepareCalls() int { return r.prepares }
-
 // StandaloneMs estimates a network's contention-free service time on this
 // device: the minimum per-group latency over the allowed accelerators. It
 // is the admission controller's service-time estimate and the affinity
-// placement signal. It characterizes directly (core.Prepare) rather than
-// going through the schedule cache: admission needs no solve, and must not
-// perturb the cache's hit/upgrade accounting. Failures are memoized like
-// successes, so a network that cannot be characterized costs one prepare,
-// ever.
+// placement signal. It reads the network's profile through the schedule
+// cache's characterization memo rather than a cache entry: admission
+// needs no solve, and must not perturb the cache's hit/upgrade
+// accounting. Failures are memoized like successes, so a network that
+// cannot be characterized costs one prepare per memo, ever.
 func (r *Runtime) StandaloneMs(network string) (float64, error) {
-	if err := r.characterize(network); err != nil {
-		return 0, err
-	}
-	return r.standalone[network], nil
+	p := r.cache.profile(network)
+	return p.standaloneMs, p.err
 }
 
 // DemandGBps estimates a network's standalone memory demand on this
 // device: the time-weighted mean of per-group demand along the fastest
 // per-group accelerator path (the same path StandaloneMs costs). It is
-// the demand-balance mix policy's ranking signal — computed from the
-// profiler's characterization, memoized per network (errors included),
-// and independent of the schedule cache so demand ranking never perturbs
-// hit accounting.
+// the demand-balance mix policy's ranking signal — read from the same
+// memoized profile as StandaloneMs (errors included), independent of the
+// schedule cache's entries so demand ranking never perturbs hit
+// accounting.
 func (r *Runtime) DemandGBps(network string) (float64, error) {
-	if err := r.characterize(network); err != nil {
-		return 0, err
-	}
-	return r.demand[network], nil
+	p := r.cache.profile(network)
+	return p.demandGBps, p.err
 }
 
 // batchScorer builds the round's BatchScorer: the analytic contention
@@ -1121,7 +1066,11 @@ func (r *Runtime) FillMetrics(reg *obs.Registry) {
 	reg.Add(p+"cache_hits", float64(r.hits))
 	reg.Add(p+"cache_misses", float64(r.misses))
 	reg.Add(p+"cache_upgrades", float64(r.upgrades))
-	reg.Add(p+"prepare_calls", float64(r.prepares))
+	if r.cfg.SharedCache == nil && r.cfg.Chars == nil {
+		// The runtime built its cache and the cache its memo: the
+		// characterization count is this runtime's to export.
+		reg.Add(p+"prepare_calls", float64(r.cache.cfg.Chars.PrepareCalls()))
+	}
 	reg.Add(p+"forced_dispatches", float64(r.forced))
 	if r.former.Name() == MixContentionAware {
 		beam := r.cfg.ScoreBeam

@@ -124,12 +124,47 @@ func TestGenerateValidation(t *testing.T) {
 			{Name: "x", Network: "ResNet152", RateRPS: 10},
 		}, 100},
 		{"reserved tenant name", []TenantSpec{{Name: "TOTAL", Network: "VGG19", RateRPS: 10}}, 100},
+		// Non-finite and unbounded numeric fields. Each bad tenant rides
+		// next to a good one, so a spec that is silently skipped (a NaN
+		// phase yields no arrivals) is still caught. Before validation, an
+		// infinite rate never advanced the arrival clock and a 1e308 rate
+		// grew the trace until the process was killed.
+		{"NaN SLO", withGood(TenantSpec{Name: "x", Network: "VGG19", RateRPS: 10, SLOMs: math.NaN()}), 100},
+		{"Inf SLO", withGood(TenantSpec{Name: "x", Network: "VGG19", RateRPS: 10, SLOMs: math.Inf(1)}), 100},
+		{"Inf rate", withGood(TenantSpec{Name: "x", Network: "VGG19", RateRPS: math.Inf(1)}), 100},
+		{"NaN rate", withGood(TenantSpec{Name: "x", Network: "VGG19", RateRPS: math.NaN(), PeriodMs: 10}), 100},
+		{"1e308 rate", withGood(TenantSpec{Name: "x", Network: "VGG19", RateRPS: 1e308}), 10},
+		{"Inf period", withGood(TenantSpec{Name: "x", Network: "VGG19", PeriodMs: math.Inf(1)}), 100},
+		{"negative period", withGood(TenantSpec{Name: "x", Network: "VGG19", RateRPS: 10, PeriodMs: -1}), 100},
+		{"1e-300 period", withGood(TenantSpec{Name: "x", Network: "VGG19", PeriodMs: 1e-300}), 100},
+		{"NaN phase", withGood(TenantSpec{Name: "x", Network: "VGG19", RateRPS: 10, PhaseMs: math.NaN()}), 100},
+		{"Inf phase", withGood(TenantSpec{Name: "x", Network: "VGG19", RateRPS: 10, PhaseMs: math.Inf(1)}), 100},
+		{"NaN duration", twoTenants(), math.NaN()},
+		{"Inf duration", twoTenants(), math.Inf(1)},
+		{"over the request cap", []TenantSpec{{Name: "x", Network: "VGG19", RateRPS: MaxTraceRequests + 1}}, 1000},
 	}
 	for _, tc := range cases {
 		if _, err := Generate(tc.specs, tc.durMs, 1); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
+	// The cap counts expected requests across tenants, not per tenant,
+	// and sits above every legitimate trace the repository generates.
+	half := []TenantSpec{
+		{Name: "a", Network: "VGG19", RateRPS: MaxTraceRequests / 2},
+		{Name: "b", Network: "VGG19", RateRPS: MaxTraceRequests/2 + 1},
+	}
+	if _, err := Generate(half, 1000, 1); err == nil {
+		t.Error("two tenants jointly over the request cap: expected error")
+	}
+	if _, err := Generate([]TenantSpec{{Name: "x", Network: "VGG19", PeriodMs: 1, PhaseMs: 1e9}}, 100, 1); err == nil {
+		t.Error("phase past the horizon produced arrivals")
+	}
+}
+
+// withGood pairs a spec under test with a valid tenant.
+func withGood(bad TenantSpec) []TenantSpec {
+	return []TenantSpec{{Name: "good", Network: "ResNet152", RateRPS: 10}, bad}
 }
 
 func TestCacheHitMissAndUpgrade(t *testing.T) {

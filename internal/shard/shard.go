@@ -126,8 +126,10 @@ type Config struct {
 	// Tracer, when set, receives every shard's events (device names
 	// prefixed "s<shard>/") plus the plane's own gossip and handoff
 	// events, merged in virtual-time order. Metrics receives each shard's
-	// counters under "shard<k>." plus the plane totals under "shard.".
-	// Audit receives the merged per-shard audits. All observational.
+	// counters under "shard<k>." plus the plane totals under "shard."
+	// and the run's characterization-memo count under
+	// fleet.MemoPrepareCallsMetric. Audit receives the merged per-shard
+	// audits. All observational.
 	Tracer  *obs.Tracer
 	Metrics *obs.Registry
 	Audit   *obs.Audit
@@ -418,14 +420,11 @@ func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 		parts[s] = append(parts[s], q)
 	}
 
-	// One characterization memo for the whole run: the shards' platform
-	// caches share tables, so each distinct mix is characterized once
-	// region-wide — a K=1 plane keeps the global controller's exact code
-	// path (the memo changes no value, only who computes it first).
-	var chars *serve.CharMemo
-	if k > 1 {
-		chars = serve.NewCharMemo()
-	}
+	// One characterization memo for the whole run: every shard's caches
+	// read through it, so each distinct mix and network is characterized
+	// once region-wide (the memo changes no value, only who computes it
+	// first).
+	chars := serve.NewCharMemo()
 	states := make([]*shardState, k)
 	for s := 0; s < k; s++ {
 		st := &shardState{idx: s, exported: map[string]map[string]bool{}}
@@ -476,7 +475,7 @@ func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 			return nil, st.err
 		}
 	}
-	return p.merge(states, h), nil
+	return p.merge(states, h, chars), nil
 }
 
 // periodMs is the barrier period in virtual milliseconds.
@@ -698,9 +697,10 @@ func (st *shardState) emitHandoffs(handoffs []Handoff) {
 }
 
 // merge folds the finished shards into the plane summary and the
-// plane-level observability sinks, in shard order throughout, so the
-// merged artifacts are deterministic.
-func (p *Plane) merge(states []*shardState, h *hub) *Summary {
+// plane-level observability sinks (the run memo's prepare count among
+// the metrics), in shard order throughout, so the merged artifacts are
+// deterministic.
+func (p *Plane) merge(states []*shardState, h *hub, chars *serve.CharMemo) *Summary {
 	sum := &Summary{
 		Shards:        p.cfg.shards(),
 		GossipEveryMs: p.periodMs(),
@@ -775,6 +775,7 @@ func (p *Plane) merge(states []*shardState, h *hub) *Summary {
 				reg.Set(prefix+m.Name, m.Value)
 			}
 		}
+		reg.Set(fleet.MemoPrepareCallsMetric, float64(chars.PrepareCalls()))
 		reg.Set("shard.count", float64(sum.Shards))
 		reg.Set("shard.gossip_rounds", float64(sum.Rounds))
 		reg.Set("shard.gossip_entries_tx", float64(sum.GossipTxEntries))
