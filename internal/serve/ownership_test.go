@@ -6,6 +6,7 @@ package serve
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"haxconn/internal/schedule"
@@ -152,5 +153,43 @@ func TestCharMemoSharing(t *testing.T) {
 	}
 	if !bytes.Equal(bufA.Bytes(), bufSolo.Bytes()) {
 		t.Error("memoized cache exports differently from a solo cache")
+	}
+}
+
+// TestCharMemoConcurrentOnce: caches on several goroutines racing into one
+// memo for the same network profile, the same mix and the same failing
+// network each see one core.Prepare per key and identical values.
+func TestCharMemoConcurrentOnce(t *testing.T) {
+	memo := NewCharMemo()
+	const racers = 8
+	type seen struct {
+		standalone float64
+		pr         *schedule.Profile
+		bad        error
+	}
+	got := make([]seen, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		c := ownershipCache(t, nil, memo)
+		wg.Add(1)
+		go func(i int, c *Cache) {
+			defer wg.Done()
+			key, canon := c.mixKey([]string{"ResNet152", "VGG19"})
+			_, pr, _, err := memo.characterize(c, key, canon)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = seen{standalone: c.profile("VGG19").standaloneMs, pr: pr, bad: c.profile("NoSuchNet").err}
+		}(i, c)
+	}
+	wg.Wait()
+	if n := memo.PrepareCalls(); n != 3 {
+		t.Errorf("%d racing caches ran %d prepares, want 3 (one mix, one network, one failure)", racers, n)
+	}
+	for i, s := range got {
+		if s.standalone != got[0].standalone || s.pr != got[0].pr || s.bad == nil || s.bad != got[0].bad {
+			t.Errorf("racer %d saw %+v, racer 0 %+v", i, s, got[0])
+		}
 	}
 }
